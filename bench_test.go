@@ -137,7 +137,7 @@ func BenchmarkFigure6SnapshotCreate(b *testing.B) {
 			copy(m.TouchPage(uint32(p)), buf)
 		}
 		b.StartTimer()
-		if err := m.TakeIncremental(); err != nil {
+		if _, err := m.TakeIncrementalSlot(0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkFigure6SnapshotLoad(b *testing.B) {
 	for p := 0; p < 512; p++ {
 		copy(m.TouchPage(uint32(p)), buf)
 	}
-	if err := m.TakeIncremental(); err != nil {
+	if _, err := m.TakeIncrementalSlot(0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -162,7 +162,7 @@ func BenchmarkFigure6SnapshotLoad(b *testing.B) {
 			copy(m.TouchPage(uint32(p)), buf)
 		}
 		b.StartTimer()
-		if err := m.RestoreIncremental(); err != nil {
+		if _, err := m.RestoreIncrementalSlot(0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,6 +86,26 @@ func TestPoolReducesPrefixReexecs(t *testing.T) {
 	}
 }
 
+// TestSingleSlotDiskCampaignPinned pins a single-slot campaign on a target
+// that writes disk sectors while fuzzing (bftpd's STOR lands in the guest
+// file system), so the snapshot path's block-device layer is covered by an
+// exact oracle: every counter and the final virtual clock must reproduce
+// the values recorded before the single-slot snapshot became slot 0 of the
+// slot mechanism. Any change to what a snapshot captures, restores or
+// charges moves at least one of them.
+func TestSingleSlotDiskCampaignPinned(t *testing.T) {
+	f := poolFuzzer(t, "bftpd", 0, 1) // budget 0: single-slot mode
+	if err := f.RunFor(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := [...]uint64{uint64(f.Coverage()), f.Execs(), f.RootExecs(), f.SnapshotExecs(),
+		f.FullPrefixReexecs(), uint64(f.Agent.Now())}
+	want := [...]uint64{896, 26336, 514, 25600, 512, 3099093445}
+	if got != want {
+		t.Fatalf("edges/execs/root execs/snapshot execs/full-prefix re-execs/clock ns = %v, want %v", got, want)
+	}
+}
+
 func TestPoolStaysUnderBudget(t *testing.T) {
 	const budget = 256 << 10 // small enough to force evictions
 	f := poolFuzzer(t, "lightftp", budget, 1)

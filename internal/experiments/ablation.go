@@ -271,6 +271,7 @@ func AblationReMirror(intervals []int) []AblationResult {
 	if intervals == nil {
 		intervals = []int{100, 500, 2000, 8000}
 	}
+	const slot = 0
 	var out []AblationResult
 	for _, iv := range intervals {
 		m := mem.New(4096)
@@ -279,12 +280,15 @@ func AblationReMirror(intervals []int) []AblationResult {
 		peak := 0
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 4000; i++ {
-			// Each cycle dirties a few random pages and re-snapshots.
+			// The agent's cycle: each new input restarts from the root,
+			// dirties a few random pages and re-snapshots into the same
+			// slot, whose overlay keeps the previous creations' copies.
+			m.RestoreRoot() //nolint:errcheck // root exists
 			for j := 0; j < 4; j++ {
 				m.TouchPage(uint32(rng.Intn(4096)))[0] = byte(i)
 			}
-			m.TakeIncremental() //nolint:errcheck // root exists
-			if n := m.IncrementalOverlaySize(); n > peak {
+			m.TakeIncrementalSlot(slot) //nolint:errcheck // root exists
+			if n := m.SlotPages(slot); n > peak {
 				peak = n
 			}
 		}

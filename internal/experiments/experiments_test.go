@@ -247,9 +247,14 @@ func TestAblations(t *testing.T) {
 	if dr[0].Value >= dr[1].Value {
 		t.Fatalf("structured reset (%.1f) should beat serialize (%.1f)", dr[0].Value, dr[1].Value)
 	}
-	rm := AblationReMirror([]int{50, 2000})
-	if rm[0].Value > rm[1].Value {
-		t.Fatalf("smaller re-mirror interval should bound the overlay: %v vs %v", rm[0].Value, rm[1].Value)
+	// Exact peak overlays at the default intervals 100/500/2000/8000: a
+	// smaller interval bounds the overlay, and the snapshot cycle the
+	// ablation drives must keep reproducing these page counts.
+	rm := AblationReMirror(nil)
+	for i, want := range []float64{388, 1598, 3529, 4006} {
+		if rm[i].Value != want {
+			t.Fatalf("%s: peak overlay %v pages, want %v", rm[i].Name, rm[i].Value, want)
+		}
 	}
 	sr, err := AblationSnapshotReuse([]int{1, 50}, 3*time.Second, 5)
 	if err != nil {

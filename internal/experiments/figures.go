@@ -147,14 +147,14 @@ func Figure6(vmSizesPages []int, dirtyCounts []int, reps int) []Figure6Point {
 					copy(m.TouchPage(uint32(i)), buf)
 				}
 			}, func() {
-				m.TakeIncremental() //nolint:errcheck // root exists
+				m.TakeIncrementalSlot(0) //nolint:errcheck // root exists
 			})
 			loadS := measure(reps, func() {
 				for i := 0; i < n; i++ {
 					copy(m.TouchPage(uint32(i)), buf)
 				}
 			}, func() {
-				m.RestoreIncremental() //nolint:errcheck // snapshot exists
+				m.RestoreIncrementalSlot(0) //nolint:errcheck // snapshot exists
 			})
 			out = append(out, Figure6Point{
 				System: "nyx", VMPages: npages, DirtyPages: n,

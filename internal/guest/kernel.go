@@ -142,13 +142,10 @@ func NewKernel(m *vm.Machine, target Target) (*Kernel, error) {
 	k.FS.hydrate = k.hydrate
 	// Wire the kernel into the machine's snapshot lifecycle: memory is
 	// authoritative, so a restore invalidates the struct form of the
-	// kernel state. The hooks only mark it stale — the decode is deferred
+	// kernel state. The hook only marks it stale — the decode is deferred
 	// to the first state access (hydrate), so back-to-back restores never
 	// pay for re-reading a blob nothing looked at.
-	m.GuestHooks = vm.SnapshotHooks{
-		RestoreRoot:        func() { k.stale = true },
-		RestoreIncremental: func() { k.stale = true },
-	}
+	m.OnRestore = func() { k.stale = true }
 	// Boot: create the init process and run target startup.
 	init := k.newProcess(0)
 	k.env.proc = init

@@ -13,9 +13,10 @@
 // the delta of the captured state against the root snapshot, and slots
 // survive root restores and restores of other slots, so a snapshot pool
 // (package snappool) can keep many prefix states alive at once under a
-// memory budget. The original single-slot API (TakeIncremental /
-// RestoreIncremental / DropIncremental) is preserved as a thin wrapper over
-// a reserved slot with the paper's exact one-secondary-snapshot semantics.
+// memory budget. The paper's single secondary snapshot is one such slot,
+// reserved by the agent: it is released (ReleaseSlot) rather than freed
+// between inputs, so its overlay buffers are reused across creations and
+// re-mirrored every ReMirrorInterval of them.
 package mem
 
 import (
@@ -45,21 +46,17 @@ const (
 // that has not been taken yet.
 var ErrNoRootSnapshot = errors.New("mem: no root snapshot taken")
 
-// ErrNoIncrementalSnapshot is returned when an operation requires an active
-// incremental snapshot (or, for the slot API, a slot that exists).
+// ErrNoIncrementalSnapshot is returned when an operation requires a
+// restorable incremental snapshot slot that does not exist.
 var ErrNoIncrementalSnapshot = errors.New("mem: no incremental snapshot active")
 
-// LegacySlot is the reserved slot id the single-slot wrapper API operates
-// on. Pool consumers must allocate their slot ids starting above it.
-const LegacySlot = 0
-
 // snapSlot is one named incremental snapshot: the overlay of pages whose
-// captured content differs from the root snapshot (plus, for the legacy
-// slot, retained buffers from discarded snapshots awaiting reuse).
+// captured content differs from the root snapshot (plus, after a release,
+// retained buffers awaiting reuse by the next take).
 type snapSlot struct {
 	pages map[uint32][]byte
-	// live marks the slot restorable. The legacy wrapper clears it on
-	// DropIncremental while retaining the buffers for the next take.
+	// live marks the slot restorable. ReleaseSlot clears it while
+	// retaining the buffers for the next take.
 	live bool
 	// sinceMirror counts creations into this slot since its overlay was
 	// last cleared (the re-mirror bookkeeping, §4.2).
@@ -210,10 +207,11 @@ type Memory struct {
 	// Incremental snapshot state (§4.2). Each slot is conceptually a
 	// copy-on-write remap of the root snapshot: slot.pages overlays root.
 	// active names the slot the current memory state derives from (-1 =
-	// root), which is what dirty tracking is relative to. For the legacy
-	// slot, pages accumulate in the overlay across creations and are
-	// re-mirrored (cleared) every ReMirrorInterval creations to bound the
-	// duplicate-copy worst case the paper describes.
+	// root), which is what dirty tracking is relative to. A slot retaken
+	// after a release or root restore keeps its overlay buffers, so pages
+	// accumulate across creations; they are re-mirrored (cleared) every
+	// ReMirrorInterval creations to bound the duplicate-copy worst case the
+	// paper describes.
 	slots      map[int]*snapSlot
 	active     int
 	activeRef  *snapSlot // cached slots[active] (nil when active < 0), so the restore hot path skips the map lookup
@@ -694,61 +692,6 @@ func (s *snapSlot) buf(pn uint32) []byte {
 	return b
 }
 
-// TakeIncremental creates (or recreates) the single secondary snapshot at
-// the current VM state — the paper's one-snapshot model, preserved as a
-// wrapper over LegacySlot. Per §4.2 this is about as cheap as a reset: only
-// the pages dirtied since the root snapshot are copied into the overlay.
-// Existing overlay buffers are reused to avoid fresh allocations; the
-// overlay accumulates copies across creations and is cleared ("re-mirrored")
-// every ReMirrorInterval creations. The caller is assumed to create from a
-// root-derived state (the agent always snapshots inside a from-root run);
-// use TakeIncrementalSlot to capture a state derived from another slot.
-func (m *Memory) TakeIncremental() error {
-	if !m.hasRoot {
-		return ErrNoRootSnapshot
-	}
-	m.scoreEager()
-	if m.active != LegacySlot {
-		// From the root, or chained from a pool slot whose overlay must
-		// fold in: exactly the general slot path (which also covers the
-		// buffer-retention case — a legacy overlay discarded by a root
-		// restore or drop keeps its map, and the slot path refreshes the
-		// stale buffers to root content before reuse).
-		_, err := m.TakeIncrementalSlot(LegacySlot)
-		return err
-	}
-	// Re-taking while the legacy snapshot is active. The paper's model
-	// recreates its one secondary snapshot from a root-derived state, so
-	// the overlay is rebuilt from the dirty set alone — non-dirty leftover
-	// buffers refresh to root content in place (reusing copies avoids the
-	// page-table churn the paper mentions) and the re-mirror bookkeeping
-	// keeps counting. The general slot path deliberately does neither for
-	// an active slot (chained-take accumulation), so this branch stays.
-	s := m.slots[LegacySlot]
-	s.sinceMirror++
-	if s.sinceMirror >= m.ReMirrorInterval {
-		// Re-mirror: drop accumulated copies so the overlay cannot
-		// grow into a second full copy of the root snapshot.
-		s.pages = make(map[uint32][]byte)
-		s.sinceMirror = 0
-		m.stats.ReMirrors++
-	} else {
-		for pn, buf := range s.pages {
-			if m.dirtyBitmap[pn] == 0 {
-				// The live page may alias this very overlay buffer (the
-				// zero-copy restore path installs such aliases); copy it
-				// out first so refreshing the overlay in place does not
-				// rewrite live memory.
-				m.unalias(pn, buf)
-				copyInto(buf, m.rootPage(pn))
-			}
-		}
-	}
-	m.captureDirty(s)
-	m.finishTake(LegacySlot, s)
-	return nil
-}
-
 // captureDirty copies every dirty page's live content into s and clears
 // dirty tracking (the shared tail of all snapshot creations).
 func (m *Memory) captureDirty(s *snapSlot) {
@@ -772,14 +715,16 @@ func (m *Memory) finishTake(id int, s *snapSlot) {
 // TakeIncrementalSlot captures the current VM state into snapshot slot id:
 // the slot records the state's full delta against the root snapshot, so it
 // can be restored after any number of root restores or restores of other
-// slots. Unlike the single-slot TakeIncremental, the current state may
-// derive from another slot (a chained creation: a snapshot taken while
-// resumed from a cached prefix inherits that prefix's overlay). Returns the
-// number of pages copied, which is the creation cost the VM layer charges.
+// slots. Per §4.2 this is about as cheap as a reset: only the pages dirtied
+// since the last snapshot point are copied. The current state may derive from
+// another slot (a chained creation: a snapshot taken while resumed from a
+// cached prefix inherits that prefix's overlay). Returns the number of
+// pages copied, which is the creation cost the VM layer charges.
 //
-// Retaking an id the pool has dropped and reallocated reuses its buffers;
-// taking a slot while it is itself the active derivation accumulates the
-// new dirty pages into it (and skips re-mirror bookkeeping, which would
+// Retaking a released id reuses its overlay buffers (stale ones refresh to
+// root content in place) and counts toward its re-mirror interval; taking
+// a slot while it is itself the active derivation accumulates the new
+// dirty pages into it (and skips re-mirror bookkeeping, which would
 // discard overlay content the current state still derives from).
 func (m *Memory) TakeIncrementalSlot(id int) (int, error) {
 	if !m.hasRoot {
@@ -830,10 +775,6 @@ func (m *Memory) TakeIncrementalSlot(id int) (int, error) {
 	return int(m.stats.PagesCopied) - copied, nil
 }
 
-// HasIncremental reports whether the single-slot incremental snapshot is
-// active (taken, and not discarded by a root restore or drop since).
-func (m *Memory) HasIncremental() bool { return m.active == LegacySlot }
-
 // HasSlot reports whether snapshot slot id is restorable.
 func (m *Memory) HasSlot(id int) bool {
 	s := m.slots[id]
@@ -843,21 +784,6 @@ func (m *Memory) HasSlot(id int) bool {
 // ActiveSlot returns the slot id the current memory state derives from, or
 // -1 when it derives from the root snapshot.
 func (m *Memory) ActiveSlot() int { return m.active }
-
-// RestoreIncremental resets the VM memory to the active incremental
-// snapshot: dirty pages are restored from the overlay where present and
-// from the root snapshot otherwise (the CoW-mirror lookup of §4.2).
-//
-//nyx:hotpath
-func (m *Memory) RestoreIncremental() error {
-	if m.active != LegacySlot {
-		return ErrNoIncrementalSnapshot
-	}
-	m.scoreEager()
-	m.restoreDirty()
-	m.stats.IncrementalRestores++
-	return nil
-}
 
 // RestoreIncrementalSlot resets the VM memory to snapshot slot id and makes
 // it the active derivation. Restoring the slot the state already derives
@@ -902,24 +828,14 @@ func (m *Memory) RestoreIncrementalSlot(id int) (int, error) {
 	return int(m.stats.PagesReset - before), nil
 }
 
-// DropIncremental discards the single-slot incremental snapshot without
-// resetting memory. Subsequent restores go to the root snapshot; the
-// overlay pages are retained for reuse by the next TakeIncremental (until
-// re-mirror).
-//
-// Note the next RestoreRoot must still reset the overlaid pages, so they
-// are folded into the dirty set here.
-func (m *Memory) DropIncremental() {
-	if m.active != LegacySlot {
-		return
-	}
-	m.scoreEager()
-	s := m.slots[LegacySlot]
-	s.live = false
-	m.active = -1
-	m.activeRef = nil
-	for pn := range s.pages {
-		m.markDirty(pn)
+// ReleaseSlot makes snapshot slot id unrestorable but keeps its overlay
+// buffers and write-set profile for the next take into the same id (the
+// agent's snapshot release, §3.4: the next take reuses the copies instead
+// of allocating). If the current state derives from the slot, its overlay
+// pages fold into the dirty set so the next root restore resets them.
+func (m *Memory) ReleaseSlot(id int) {
+	if s := m.leaveSlot(id); s != nil {
+		s.live = false
 	}
 }
 
@@ -928,9 +844,18 @@ func (m *Memory) DropIncremental() {
 // If the current state derives from the slot, its overlay pages fold into
 // the dirty set so the next restore resets them.
 func (m *Memory) DropSlot(id int) {
+	if m.leaveSlot(id) != nil {
+		delete(m.slots, id)
+	}
+}
+
+// leaveSlot moves the derivation off slot id when the current state derives
+// from it, folding its overlay into the dirty set. Returns the slot, or nil
+// when id names none.
+func (m *Memory) leaveSlot(id int) *snapSlot {
 	s := m.slots[id]
 	if s == nil {
-		return
+		return nil
 	}
 	m.scoreEager()
 	if m.active == id {
@@ -940,7 +865,7 @@ func (m *Memory) DropSlot(id int) {
 			m.markDirty(pn)
 		}
 	}
-	delete(m.slots, id)
+	return s
 }
 
 // SlotProfile returns an independent copy of slot id's write-set profile,
@@ -990,13 +915,9 @@ func (m *Memory) SlotPages(id int) int {
 	return len(s.pages)
 }
 
-// Slots returns the number of allocated snapshot slots (including the
-// legacy slot once used).
+// Slots returns the number of allocated snapshot slots (including released
+// ones, which keep their buffers).
 func (m *Memory) Slots() int { return len(m.slots) }
-
-// IncrementalOverlaySize returns the number of pages currently held in the
-// single-slot incremental snapshot overlay (the accumulated real copies).
-func (m *Memory) IncrementalOverlaySize() int { return m.SlotPages(LegacySlot) }
 
 // CloneSharedRoot creates a new Memory that shares this Memory's root
 // snapshot copy-on-write instead of duplicating it. The clone starts at

@@ -189,8 +189,8 @@ func (p *Pool) Stats() Stats {
 }
 
 // AllocSlot returns a fresh slot id for a snapshot about to be created.
-// Ids start above mem.LegacySlot so pool slots never collide with the
-// single-slot wrapper.
+// Ids start at 1: slot 0 is the agent's single-slot snapshot (RunFromRoot /
+// RunSuffix), which pool slots must never collide with.
 func (p *Pool) AllocSlot() int {
 	id := p.nextSlot
 	p.nextSlot++

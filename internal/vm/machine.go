@@ -13,17 +13,14 @@ import (
 // the VM-exit analogue of §2.3 ("hypercalls are like syscalls but for VMs").
 type Hypercall int
 
-// Hypercall numbers understood by the machine.
+// Hypercall numbers understood by the machine. The snapshot hypercalls
+// carry a slot argument and have their own entry points (SnapshotHypercall,
+// ReleaseHypercall).
 const (
 	// HcReady signals that the target finished initialization and is
 	// about to consume the first byte of fuzz input; the hypervisor
 	// responds by taking the root snapshot.
 	HcReady Hypercall = iota
-	// HcSnapshot requests an incremental snapshot at the current state
-	// (emitted by the special snapshot opcode, §4.3).
-	HcSnapshot
-	// HcReleaseSnapshot discards the incremental snapshot.
-	HcReleaseSnapshot
 	// HcExecDone signals the end of a test case.
 	HcExecDone
 	// HcPanic reports a crash in the target.
@@ -89,22 +86,12 @@ type Machine struct {
 	lastSlot   machSlot
 	lastValid  bool
 
-	// GuestHooks let the guest kernel participate in snapshots: its
-	// non-memory bookkeeping (process table, fd table, scheduler state)
-	// must be captured and restored alongside memory and devices.
-	GuestHooks SnapshotHooks
+	// OnRestore, when set, runs after every restore (root or slot) so the
+	// guest kernel can re-sync the struct form of its state, which is
+	// serialized into guest memory and so follows the memory snapshot.
+	OnRestore func()
 
 	stats MachineStats
-}
-
-// SnapshotHooks are callbacks a guest kernel registers so its state follows
-// the VM snapshot lifecycle. Any hook may be nil.
-type SnapshotHooks struct {
-	TakeRoot           func()
-	RestoreRoot        func()
-	TakeIncremental    func()
-	RestoreIncremental func()
-	DropIncremental    func()
 }
 
 // MachineStats aggregates snapshot counters and timing.
@@ -221,9 +208,6 @@ func (m *Machine) SeedSlotProfile(id int, p *SlotProfile) {
 // HasRoot reports whether the root snapshot exists.
 func (m *Machine) HasRoot() bool { return m.rootTaken }
 
-// HasIncremental reports whether an incremental snapshot is active.
-func (m *Machine) HasIncremental() bool { return m.Mem.HasIncremental() }
-
 // DirtyPages returns the number of guest pages dirtied since the last
 // snapshot point.
 func (m *Machine) DirtyPages() int { return m.Mem.DirtyCount() }
@@ -239,9 +223,6 @@ func (m *Machine) TakeRoot() error {
 			return fmt.Errorf("vm: capturing device image: %w", err)
 		}
 		m.rootDevImage = img
-	}
-	if m.GuestHooks.TakeRoot != nil {
-		m.GuestHooks.TakeRoot()
 	}
 	m.slots = nil // slots captured deltas against the previous root
 	m.rootTaken = true
@@ -275,8 +256,8 @@ func (m *Machine) chargeReset(base time.Duration, ndirty int) {
 // layer's stats rather than DirtyCount: when the state derives from a
 // pooled snapshot slot, the restore also resets the slot's overlay pages,
 // and skipping that charge would hand the pool free restore work in the
-// equal-virtual-time ablations (the single-slot path pays for the same
-// pages because DropIncremental folds its overlay into the dirty set).
+// equal-virtual-time ablations (the agent's single slot pays for the same
+// pages because its release folds the overlay into the dirty set).
 func (m *Machine) RestoreRoot() error {
 	if !m.rootTaken {
 		return ErrNotReady
@@ -295,67 +276,20 @@ func (m *Machine) RestoreRoot() error {
 	} else {
 		m.Devices.RestoreRoot()
 	}
-	if m.GuestHooks.RestoreRoot != nil {
-		m.GuestHooks.RestoreRoot()
+	if m.OnRestore != nil {
+		m.OnRestore()
 	}
 	m.stats.RootRestores++
 	return nil
 }
 
-// TakeIncremental creates the secondary snapshot at the current state.
-func (m *Machine) TakeIncremental() error {
-	if !m.rootTaken {
-		return ErrNotReady
-	}
-	m.Clock.Advance(m.Cost.IncCreateBase +
-		time.Duration(m.Mem.DirtyCount())*m.Cost.PerDirtyPage)
-	if err := m.Mem.TakeIncremental(); err != nil {
-		return err
-	}
-	m.Devices.TakeIncremental()
-	if m.GuestHooks.TakeIncremental != nil {
-		m.GuestHooks.TakeIncremental()
-	}
-	m.stats.IncCreates++
-	return nil
-}
-
-// RestoreIncremental resets the VM to the secondary snapshot.
-func (m *Machine) RestoreIncremental() error {
-	if !m.Mem.HasIncremental() {
-		return mem.ErrNoIncrementalSnapshot
-	}
-	t0 := time.Now() //nyx:wallclock RestoreWall telemetry measures real restore cost, never virtual time
-	defer func() { m.stats.RestoreWall += time.Since(t0) }()
-	m.chargeReset(m.Cost.IncRestoreBase, m.Mem.DirtyCount())
-	if err := m.Mem.RestoreIncremental(); err != nil {
-		return err
-	}
-	m.Devices.RestoreIncremental()
-	if m.GuestHooks.RestoreIncremental != nil {
-		m.GuestHooks.RestoreIncremental()
-	}
-	m.stats.IncRestores++
-	return nil
-}
-
-// DropIncremental discards the secondary snapshot.
-func (m *Machine) DropIncremental() {
-	m.Mem.DropIncremental()
-	m.Devices.DropIncremental()
-	if m.GuestHooks.DropIncremental != nil {
-		m.GuestHooks.DropIncremental()
-	}
-}
-
-// ---- Snapshot slot pool (many concurrent incremental snapshots) ----
+// ---- Incremental snapshot slots ----
 
 // TakeIncrementalSlot captures the whole-VM state (memory delta, devices)
-// into snapshot slot id. Unlike TakeIncremental the slot survives root
-// restores and restores of other slots, and the state being captured may
-// itself derive from another slot (chained creation). The virtual clock is
-// charged per page actually copied, so a chained capture pays for the
-// inherited overlay it folds in.
+// into snapshot slot id. The slot survives root restores and restores of
+// other slots, and the state being captured may itself derive from another
+// slot (chained creation). The virtual clock is charged per page actually
+// copied, so a chained capture pays for the inherited overlay it folds in.
 func (m *Machine) TakeIncrementalSlot(id int) error {
 	if !m.rootTaken {
 		return ErrNotReady
@@ -377,14 +311,11 @@ func (m *Machine) TakeIncrementalSlot(id int) error {
 	if m.lastValid && m.lastSlotID == id {
 		m.lastValid = false
 	}
-	if m.GuestHooks.TakeIncremental != nil {
-		m.GuestHooks.TakeIncremental()
-	}
 	m.stats.IncCreates++
 	return nil
 }
 
-// machSlot is the machine-level half of one pooled snapshot: the device
+// machSlot is the machine-level half of one snapshot slot: the device
 // captures and their byte charge (the memory overlay lives in mem).
 type machSlot struct {
 	devs     []device.Snapshot
@@ -413,8 +344,8 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 	}
 	m.chargeReset(m.Cost.IncRestoreBase, reset)
 	m.Devices.LoadSnapshots(ms.devs)
-	if m.GuestHooks.RestoreIncremental != nil {
-		m.GuestHooks.RestoreIncremental()
+	if m.OnRestore != nil {
+		m.OnRestore()
 	}
 	m.stats.IncRestores++
 	return nil
@@ -425,6 +356,11 @@ func (m *Machine) RestoreIncrementalSlot(id int) error {
 // charged (no VM exit is involved).
 func (m *Machine) DropSlot(id int) {
 	m.Mem.DropSlot(id)
+	m.forgetSlot(id)
+}
+
+// forgetSlot deletes slot id's device captures.
+func (m *Machine) forgetSlot(id int) {
 	delete(m.slots, id)
 	if m.lastValid && m.lastSlotID == id {
 		m.lastValid = false
@@ -444,14 +380,25 @@ func (m *Machine) SlotBytes(id int) int64 {
 	return m.Mem.SlotBytes(id) + m.slots[id].devBytes
 }
 
-// SnapshotHypercall dispatches the slot-carrying variant of HcSnapshot: the
-// agent requests an incremental snapshot into a named slot (the paper's
-// snapshot opcode, extended with a slot argument). Charges VM-exit cost
-// like any other hypercall.
+// SnapshotHypercall dispatches the agent's snapshot request into a named
+// slot (the paper's snapshot opcode, §4.3, extended with a slot argument).
+// Charges VM-exit cost like any other hypercall.
 func (m *Machine) SnapshotHypercall(slot int) error {
 	m.Clock.Advance(m.Cost.HypercallEntry)
 	m.stats.Hypercalls++
 	return m.TakeIncrementalSlot(slot)
+}
+
+// ReleaseHypercall dispatches the agent's snapshot release (§3.4): slot
+// stops being restorable, but its memory overlay buffers and write-set
+// profile stay allocated for the next take into the same id. Unlike
+// DropSlot, the pool's host-side eviction, it is a VM exit and charges
+// VM-exit cost like any other hypercall.
+func (m *Machine) ReleaseHypercall(slot int) {
+	m.Clock.Advance(m.Cost.HypercallEntry)
+	m.stats.Hypercalls++
+	m.Mem.ReleaseSlot(slot)
+	m.forgetSlot(slot)
 }
 
 // Hypercall dispatches an agent hypercall, charging VM-exit cost.
@@ -461,11 +408,6 @@ func (m *Machine) Hypercall(hc Hypercall) error {
 	switch hc {
 	case HcReady:
 		return m.TakeRoot()
-	case HcSnapshot:
-		return m.TakeIncremental()
-	case HcReleaseSnapshot:
-		m.DropIncremental()
-		return nil
 	case HcExecDone, HcPanic:
 		return nil // handled by the fuzzer run loop
 	default:

@@ -29,17 +29,34 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 
 	m.Mem.WriteAt([]byte("pref"), 0)
-	if err := m.Hypercall(HcSnapshot); err != nil {
+	if err := m.SnapshotHypercall(0); err != nil {
 		t.Fatal(err)
 	}
 	m.Mem.WriteAt([]byte("case"), 0)
-	if err := m.RestoreIncremental(); err != nil {
+	if err := m.RestoreIncrementalSlot(0); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
 	m.Mem.ReadAt(buf, 0)
 	if !bytes.Equal(buf, []byte("pref")) {
 		t.Fatalf("incremental restore: got %q want %q", buf, "pref")
+	}
+
+	// The release is a VM exit: it charges the hypercall entry and nothing
+	// else, and leaves the slot unrestorable.
+	t0, hc := m.Clock.Now(), m.Stats().Hypercalls
+	m.ReleaseHypercall(0)
+	if got := m.Clock.Now() - t0; got != m.Cost.HypercallEntry {
+		t.Fatalf("release charged %v, want %v", got, m.Cost.HypercallEntry)
+	}
+	if m.Stats().Hypercalls != hc+1 {
+		t.Fatal("release should count as a hypercall")
+	}
+	if m.HasSlot(0) {
+		t.Fatal("released slot should not be restorable")
+	}
+	if err := m.RestoreIncrementalSlot(0); err != mem.ErrNoIncrementalSnapshot {
+		t.Fatalf("restoring a released slot: got %v", err)
 	}
 
 	if err := m.RestoreRoot(); err != nil {
@@ -134,31 +151,31 @@ func TestSerializeResetRestoresDevices(t *testing.T) {
 	}
 }
 
+// The guest kernel's one hook runs after every restore, root or slot, and
+// after nothing else.
 func TestGuestHooksInvoked(t *testing.T) {
 	m := newTestMachine(t)
 	var calls []string
-	m.GuestHooks = SnapshotHooks{
-		TakeRoot:           func() { calls = append(calls, "take-root") },
-		RestoreRoot:        func() { calls = append(calls, "restore-root") },
-		TakeIncremental:    func() { calls = append(calls, "take-inc") },
-		RestoreIncremental: func() { calls = append(calls, "restore-inc") },
-		DropIncremental:    func() { calls = append(calls, "drop-inc") },
-	}
+	m.OnRestore = func() { calls = append(calls, "restore") }
 	m.TakeRoot()
 	m.Mem.WriteAt([]byte{1}, 0)
-	m.TakeIncremental()
-	m.Mem.WriteAt([]byte{2}, 0)
-	m.RestoreIncremental()
-	m.DropIncremental()
-	m.RestoreRoot()
-	want := []string{"take-root", "take-inc", "restore-inc", "drop-inc", "restore-root"}
-	if len(calls) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", calls, want)
+	if err := m.SnapshotHypercall(1); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", calls, want)
-		}
+	m.Mem.WriteAt([]byte{2}, 0)
+	if err := m.RestoreIncrementalSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	calls = append(calls, "|")
+	m.ReleaseHypercall(1)
+	m.DropSlot(1)
+	calls = append(calls, "|")
+	if err := m.RestoreRoot(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"restore", "|", "|", "restore"}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("hook calls = %v, want %v", calls, want)
 	}
 }
 
